@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import active as _active_backend
-from .scatter import segment_sum
+from .scatter import SortedSegments
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -157,12 +157,15 @@ def _mlp_tail(h: np.ndarray, weights, biases, gamma, beta, eps: float,
               saved: dict | None = None, backend=None) -> np.ndarray:
     """Layers 1..K−1 plus optional LayerNorm, given layer-0 pre-activation.
 
-    With ``saved`` (tape mode) every intermediate is a fresh allocation
-    and the post-ReLU activations / LayerNorm stats are recorded for the
-    VJP. Without it, ReLU and LayerNorm run in place and matmuls target
-    caller buffers — same operations, bitwise-identical values. On the
-    no-grad float32 path, multi-layer tails dispatch to the fused C
-    kernels when available.
+    With ``saved`` (tape mode, seeded by :func:`_grad_snapshot`) every
+    intermediate is a fresh allocation and the LayerNorm stats and, per
+    hidden layer, the post-ReLU activation are recorded for the VJP —
+    or only its bool ReLU mask when that layer's weight is frozen, since
+    only the weight gradient reads the activation values. Without it,
+    ReLU and LayerNorm run in place and matmuls target caller buffers —
+    same operations, bitwise-identical values. On the no-grad float32
+    path, multi-layer tails dispatch to the fused C kernels when
+    available.
     """
     if len(weights) > 1:
         kern = _accel_for(h, saved, backend)
@@ -172,7 +175,8 @@ def _mlp_tail(h: np.ndarray, weights, biases, gamma, beta, eps: float,
     acts = []
     for k in range(1, len(weights)):
         np.maximum(h, 0.0, out=h)
-        acts.append(h)
+        if saved is not None:
+            acts.append(h if saved["wgrad"][k] else h > 0)
         out = _buf(getbuf, f"{tag}.{k}", (h.shape[0], weights[k].shape[1]),
                    h.dtype)
         h = np.matmul(h, weights[k], out=out)
@@ -261,16 +265,34 @@ def _as_param_lists(weights, biases):
     return [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
 
 
+def _grad_snapshot(weights, biases, gamma, beta) -> dict:
+    """The ``saved`` dict of a fused tape op, seeded with which parameter
+    gradients its backward computes.
+
+    ``requires_grad`` is read here, once, at forward time, and the
+    backward honours the snapshot instead of the live flags: a forward
+    run under :meth:`repro.nn.Module.frozen` computes no weight gradient
+    even when ``backward()`` runs after the flags are restored, and
+    :func:`_mlp_tail` keeps bool ReLU masks for its frozen layers.
+    """
+    return {"wgrad": [w.requires_grad for w in weights],
+            "bgrad": [b.requires_grad for b in biases],
+            "lngrad": (gamma is not None and gamma.requires_grad,
+                       beta is not None and beta.requires_grad)}
+
+
 def _mlp_backward_tail(g: np.ndarray, saved: dict, weights, biases,
                        gamma, beta, grads) -> np.ndarray:
     """Backward through LayerNorm + layers K−1..1; returns grad at the
-    layer-0 pre-activation."""
+    layer-0 pre-activation. Parameter gradients follow the forward-time
+    snapshot in ``saved``."""
     if gamma is not None:
         xhat, inv = saved["xhat"], saved["inv"]
         width = xhat.shape[1]
-        if gamma.requires_grad:
+        gamma_grad, beta_grad = saved["lngrad"]
+        if gamma_grad:
             Tensor._add_grad(grads, gamma, np.einsum("ij,ij->j", g, xhat))
-        if beta.requires_grad:
+        if beta_grad:
             Tensor._add_grad(grads, beta, g.sum(axis=0))
         gxh = g * gamma.data
         m1 = gxh @ _mean_vec(width, gxh.dtype)
@@ -282,15 +304,18 @@ def _mlp_backward_tail(g: np.ndarray, saved: dict, weights, biases,
         gh *= inv[:, None]
     else:
         gh = np.asarray(g)
-    acts = saved["acts"]
+    acts, wgrad, bgrad = saved["acts"], saved["wgrad"], saved["bgrad"]
     for k in range(len(weights) - 1, 0, -1):
-        act = acts[k - 1]
-        if weights[k].requires_grad:
-            Tensor._add_grad(grads, weights[k], act.T @ gh)
-        if biases[k].requires_grad:
+        # a trainable layer kept its float activation, a frozen one
+        # only the ReLU mask
+        mask = acts[k - 1]
+        if wgrad[k]:
+            Tensor._add_grad(grads, weights[k], mask.T @ gh)
+            mask = mask > 0
+        if bgrad[k]:
             Tensor._add_grad(grads, biases[k], gh.sum(axis=0))
         gh = gh @ weights[k].data.T
-        gh *= act > 0
+        gh *= mask
     return gh
 
 
@@ -304,14 +329,16 @@ def linear_relu(x, weight, bias) -> Tensor:
     out = np.matmul(x.data, weight.data)
     out += bias.data
     np.maximum(out, 0.0, out=out)
+    need_x, need_w, need_b = (x.requires_grad, weight.requires_grad,
+                              bias.requires_grad)
 
     def backward(g, grads):
         gh = g * (out > 0)
-        if weight.requires_grad:
+        if need_w:
             Tensor._add_grad(grads, weight, x.data.T @ gh)
-        if bias.requires_grad:
+        if need_b:
             Tensor._add_grad(grads, bias, gh.sum(axis=0))
-        if x.requires_grad:
+        if need_x:
             Tensor._add_grad(grads, x, gh @ weight.data.T)
 
     return Tensor._make(out, (x, weight, bias), backward)
@@ -325,7 +352,8 @@ def mlp_forward(x, weights, biases, gamma=None, beta=None,
     ln_parents, gamma, beta = _ln_parents(
         as_tensor(gamma) if gamma is not None else None,
         as_tensor(beta) if beta is not None else None)
-    saved: dict = {}
+    saved = _grad_snapshot(weights, biases, gamma, beta)
+    need_x = x.requires_grad
     out = mlp_forward_numpy(x.data, [w.data for w in weights],
                             [b.data for b in biases],
                             gamma.data if gamma is not None else None,
@@ -334,11 +362,11 @@ def mlp_forward(x, weights, biases, gamma=None, beta=None,
 
     def backward(g, grads):
         gh = _mlp_backward_tail(g, saved, weights, biases, gamma, beta, grads)
-        if weights[0].requires_grad:
+        if saved["wgrad"][0]:
             Tensor._add_grad(grads, weights[0], x.data.T @ gh)
-        if biases[0].requires_grad:
+        if saved["bgrad"][0]:
             Tensor._add_grad(grads, biases[0], gh.sum(axis=0))
-        if x.requires_grad:
+        if need_x:
             Tensor._add_grad(grads, x, gh @ weights[0].data.T)
 
     return Tensor._make(out, [x] + weights + biases + ln_parents, backward)
@@ -346,9 +374,16 @@ def mlp_forward(x, weights, biases, gamma=None, beta=None,
 
 def fused_edge_mlp(edge_f, node_f, senders: np.ndarray, receivers: np.ndarray,
                    weights, biases, gamma=None, beta=None,
-                   eps: float = 1e-5) -> Tensor:
+                   eps: float = 1e-5,
+                   sender_plan: SortedSegments | None = None,
+                   receiver_plan: SortedSegments | None = None) -> Tensor:
     """Edge MLP ``φ_e([e, v_s, v_r])`` with the split first layer, fused
-    into one tape node (gathers, concat, all linear layers, LayerNorm)."""
+    into one tape node (gathers, concat, all linear layers, LayerNorm).
+
+    ``sender_plan``/``receiver_plan`` are :class:`SortedSegments` over
+    ``senders``/``receivers`` (see :meth:`repro.graph.Graph.segments`);
+    the backward's two node-side reductions run through them, building
+    their own only when none is given."""
     edge_f, node_f = as_tensor(edge_f), as_tensor(node_f)
     weights, biases = _as_param_lists(weights, biases)
     ln_parents, gamma, beta = _ln_parents(
@@ -356,7 +391,8 @@ def fused_edge_mlp(edge_f, node_f, senders: np.ndarray, receivers: np.ndarray,
         as_tensor(beta) if beta is not None else None)
     senders = np.asarray(senders, dtype=np.intp)
     receivers = np.asarray(receivers, dtype=np.intp)
-    saved: dict = {}
+    saved = _grad_snapshot(weights, biases, gamma, beta)
+    need_e, need_v = edge_f.requires_grad, node_f.requires_grad
     h0 = edge_mlp_first_layer(edge_f.data, node_f.data, senders, receivers,
                               weights[0].data, biases[0].data)
     out = _mlp_tail(h0, [w.data for w in weights], [b.data for b in biases],
@@ -370,19 +406,24 @@ def fused_edge_mlp(edge_f, node_f, senders: np.ndarray, receivers: np.ndarray,
         ein = edge_f.data.shape[1]
         width = node_f.data.shape[1]
         n = node_f.data.shape[0]
-        seg_s = segment_sum(gh, senders, n)
-        seg_r = segment_sum(gh, receivers, n)
-        if weights[0].requires_grad:
+        if saved["wgrad"][0] or need_v:
+            send = sender_plan if sender_plan is not None \
+                else SortedSegments(senders, n)
+            recv = receiver_plan if receiver_plan is not None \
+                else SortedSegments(receivers, n)
+            seg_s = send.segment_sum(gh)
+            seg_r = recv.segment_sum(gh)
+        if saved["wgrad"][0]:
             gw0 = np.empty_like(w0)
             gw0[:ein] = edge_f.data.T @ gh
             gw0[ein:ein + width] = node_f.data.T @ seg_s
             gw0[ein + width:] = node_f.data.T @ seg_r
             Tensor._add_grad(grads, weights[0], gw0)
-        if biases[0].requires_grad:
+        if saved["bgrad"][0]:
             Tensor._add_grad(grads, biases[0], gh.sum(axis=0))
-        if edge_f.requires_grad:
+        if need_e:
             Tensor._add_grad(grads, edge_f, gh @ w0[:ein].T)
-        if node_f.requires_grad:
+        if need_v:
             gnodes = seg_s @ w0[ein:ein + width].T
             gnodes += seg_r @ w0[ein + width:].T
             Tensor._add_grad(grads, node_f, gnodes)
@@ -407,7 +448,9 @@ def fused_node_mlp(node_f, agg, weights, biases, gamma=None, beta=None,
         as_tensor(beta) if beta is not None else None)
     if residual is not None:
         residual = as_tensor(residual)
-    saved: dict = {}
+    saved = _grad_snapshot(weights, biases, gamma, beta)
+    need_v, need_a = node_f.requires_grad, agg.requires_grad
+    need_r = residual is not None and residual.requires_grad
     h0 = node_mlp_first_layer(node_f.data, agg.data, weights[0].data,
                               biases[0].data)
     out = _mlp_tail(h0, [w.data for w in weights], [b.data for b in biases],
@@ -420,21 +463,21 @@ def fused_node_mlp(node_f, agg, weights, biases, gamma=None, beta=None,
         out = residual.data + out
 
     def backward(g, grads):
-        if residual is not None and residual.requires_grad:
+        if need_r:
             Tensor._add_grad(grads, residual, g)
         gh = _mlp_backward_tail(g, saved, weights, biases, gamma, beta, grads)
         w0 = weights[0].data
         width = node_f.data.shape[1]
-        if weights[0].requires_grad:
+        if saved["wgrad"][0]:
             gw0 = np.empty_like(w0)
             gw0[:width] = node_f.data.T @ gh
             gw0[width:] = agg.data.T @ gh
             Tensor._add_grad(grads, weights[0], gw0)
-        if biases[0].requires_grad:
+        if saved["bgrad"][0]:
             Tensor._add_grad(grads, biases[0], gh.sum(axis=0))
-        if node_f.requires_grad:
+        if need_v:
             Tensor._add_grad(grads, node_f, gh @ w0[:width].T)
-        if agg.requires_grad:
+        if need_a:
             Tensor._add_grad(grads, agg, gh @ w0[width:].T)
 
     parents = [node_f, agg] + weights + biases + ln_parents

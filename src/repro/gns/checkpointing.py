@@ -53,9 +53,19 @@ def checkpointed_rollout_gradient(
     Returns
     -------
     (loss_value, dloss/dmaterial or None, dloss/dseed ``(C+1, n, d)``)
+
+    The network's Parameters are frozen for the duration: no weight
+    gradient is computed or written to ``Parameter.grad``.
     """
     if segment_length < 1:
         raise ValueError("segment_length must be >= 1")
+    with simulator.frozen():
+        return _checkpointed_gradient(simulator, initial_history, num_steps,
+                                      material, loss_fn, segment_length)
+
+
+def _checkpointed_gradient(simulator, initial_history, num_steps, material,
+                           loss_fn, segment_length):
     c = simulator.feature_config.history
     window_len = c + 1
     seed = np.asarray(initial_history, dtype=np.float64)

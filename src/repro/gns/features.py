@@ -28,7 +28,7 @@ import numpy as np
 from ..autodiff import Tensor, as_tensor, concatenate
 from ..autodiff.compile import compile_tape
 from ..autodiff.functional import norm
-from ..autodiff.scatter import gather
+from ..autodiff.scatter import SortedSegments, gather
 from ..graph import Graph, radius_graph
 
 __all__ = ["FeatureConfig", "GNSFeaturizer", "Stats"]
@@ -195,6 +195,10 @@ class GNSFeaturizer:
         # --- connectivity (non-differentiable structure) ----------------
         senders, receivers = radius_graph(
             x_t.data, cfg.connectivity_radius, method=cfg.neighbor_method)
+        # one sender and one receiver reduction plan per step, shared by
+        # the gather VJPs below and every block of the network
+        sender_plan = SortedSegments(senders, n)
+        receiver_plan = SortedSegments(receivers, n)
 
         # --- node features ----------------------------------------------
         # compiled elementwise chains: one fused tape node per feature
@@ -221,13 +225,14 @@ class GNSFeaturizer:
         node_features = concatenate(feats, axis=1)
 
         # --- edge features ------------------------------------------------
-        xs = gather(x_t, senders)
-        xr = gather(x_t, receivers)
+        xs = gather(x_t, senders, plan=sender_plan)
+        xr = gather(x_t, receivers, plan=receiver_plan)
         rel = chains["rel"](xs, xr)
         dist = norm(rel, axis=1, keepdims=True)
         edge_features = concatenate([rel, dist], axis=1)
 
-        return Graph(node_features, edge_features, senders, receivers)
+        return Graph(node_features, edge_features, senders, receivers,
+                     sender_plan=sender_plan, receiver_plan=receiver_plan)
 
     def build_arrays(self, position_history: list[np.ndarray],
                      material: float | None = None,

@@ -12,6 +12,8 @@ from typing import Any
 
 import numpy as np
 
+from ..autodiff.scatter import SortedSegments
+
 __all__ = ["Graph"]
 
 
@@ -30,6 +32,9 @@ class Graph:
         ``senders[k]`` to ``receivers[k]``.
     globals_:
         Optional global feature vector.
+    sender_plan, receiver_plan:
+        :class:`~repro.autodiff.scatter.SortedSegments` over ``senders``
+        and ``receivers``; :meth:`segments` builds any not given.
     """
 
     node_features: Any
@@ -38,6 +43,10 @@ class Graph:
     receivers: np.ndarray
     globals_: Any = None
     meta: dict = field(default_factory=dict)
+    sender_plan: SortedSegments | None = field(default=None, repr=False,
+                                                compare=False)
+    receiver_plan: SortedSegments | None = field(default=None, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         self.senders = np.asarray(self.senders, dtype=np.intp)
@@ -52,6 +61,16 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return int(self.senders.shape[0])
+
+    def segments(self) -> tuple[SortedSegments, SortedSegments]:
+        """``(sender_plan, receiver_plan)``: the segment-reduction plans
+        every gather VJP and aggregation over this edge list shares,
+        built on first use and kept."""
+        if self.sender_plan is None or self.receiver_plan is None:
+            n = self.num_nodes
+            self.sender_plan = SortedSegments(self.senders, n)
+            self.receiver_plan = SortedSegments(self.receivers, n)
+        return self.sender_plan, self.receiver_plan
 
     def replace(self, **kwargs) -> "Graph":
         """Return a shallow copy with the given fields replaced."""

@@ -57,10 +57,16 @@ class RunoutInverseProblem:
 
     # ------------------------------------------------------------------
     def simulated_runout(self, phi: Tensor) -> Tensor:
-        """Differentiable L_f^{φ}: rollout k steps, soft front of the last frame."""
+        """Differentiable L_f^{φ}: rollout k steps, soft front of the last frame.
+
+        The trained network is a constant of the inverse problem, so the
+        rollout tapes it frozen: the backward computes dφ (and seed-frame
+        gradients) only, and never writes the simulator's ``Parameter.grad``.
+        """
         history = [Tensor(f) for f in self.initial_history]
-        frames = self.simulator.rollout_differentiable(
-            history, self.rollout_steps, material=phi)
+        with self.simulator.frozen():
+            frames = self.simulator.rollout_differentiable(
+                history, self.rollout_steps, material=phi)
         return soft_runout(frames[-1], self.toe_x, self.temperature)
 
     def loss(self, phi: Tensor) -> Tensor:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from typing import Iterator
 
 import numpy as np
@@ -9,6 +11,12 @@ import numpy as np
 from ..autodiff import Tensor
 
 __all__ = ["Parameter", "Module"]
+
+# Parameter -> (number of open frozen() blocks holding it, the flag to
+# restore when the last one exits); shared by every Module so blocks over
+# overlapping parameter sets nest correctly across threads
+_FROZEN: dict["Parameter", tuple[int, bool]] = {}
+_FROZEN_LOCK = threading.Lock()
 
 
 class Parameter(Tensor):
@@ -55,6 +63,35 @@ class Module:
         yield self
         for mod in self._modules.values():
             yield from mod.modules()
+
+    @contextlib.contextmanager
+    def frozen(self) -> Iterator["Module"]:
+        """Hold every Parameter at ``requires_grad=False`` for the block.
+
+        The fused tape ops read ``requires_grad`` once, at forward time,
+        so a forward run inside the block computes no weight gradient and
+        keeps ReLU masks instead of activations — even when its
+        ``backward()`` runs after the block has exited. Re-entrant and
+        thread-safe (serve workers share one simulator across threads):
+        each Parameter gets its own flag back when the last block holding
+        it exits, exceptions included.
+        """
+        params = list(self.parameters())
+        with _FROZEN_LOCK:
+            for p in params:
+                depth, flag = _FROZEN.get(p, (0, p.requires_grad))
+                _FROZEN[p] = (depth + 1, flag)
+                p.requires_grad = False
+        try:
+            yield self
+        finally:
+            with _FROZEN_LOCK:
+                for p in params:
+                    depth, flag = _FROZEN.pop(p)
+                    if depth > 1:
+                        _FROZEN[p] = (depth - 1, flag)
+                    else:
+                        p.requires_grad = flag
 
     def zero_grad(self) -> None:
         for p in self.parameters():

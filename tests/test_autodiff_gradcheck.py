@@ -150,6 +150,14 @@ GAMMA_RES = 1.0 + 0.1 * _arr(36, 3)
 BETA_RES = 0.1 * _arr(37, 3)
 CRES = _arr(38, 4, 3)
 RES_F = _arr(39, 4, 3)
+# a second hidden layer (5 -> 5), so a tail holds two ReLUs
+WH = 0.4 * _arr(40, 5, 5)
+BH = 0.1 * _arr(41, 5)
+
+
+def _frozen(arr):
+    """A weight Tensor whose layer saves only its ReLU mask."""
+    return Tensor(arr, requires_grad=False)
 
 FUSED_CASES = {
     "linear_relu_x": (NODE_F,
@@ -230,6 +238,49 @@ FUSED_CASES = {
             [Tensor(B0), Tensor(BRES)],
             Tensor(GAMMA_RES), Tensor(BETA_RES),
             residual=r) * CRES).sum()),
+    # mask path: a layer whose weight does not require grad at forward
+    # time saves a bool ReLU mask, not its float activation; the
+    # ``_mixed`` cases keep the activation for one layer (the weight
+    # under test) and a mask for the other
+    "mlp_forward_x_mask": (NODE_F,
+                           lambda x: (mlp_forward(
+                               x, [_frozen(W0), _frozen(WH), _frozen(W1)],
+                               [Tensor(B0), Tensor(BH), Tensor(B1)],
+                               Tensor(GAMMA), Tensor(BETA)) * COUT).sum()),
+    "mlp_forward_w_mixed": (WH,
+                            lambda w: (mlp_forward(
+                                Tensor(NODE_F),
+                                [_frozen(W0), w, _frozen(W1)],
+                                [Tensor(B0), Tensor(BH), Tensor(B1)],
+                                Tensor(GAMMA), Tensor(BETA)) * COUT).sum()),
+    "fused_edge_mlp_v_mask": (NODE_F,
+                              lambda v: (fused_edge_mlp(
+                                  Tensor(EDGE_F), v, SEND, RECV,
+                                  [_frozen(WE0), _frozen(WH), _frozen(W1)],
+                                  [Tensor(B0), Tensor(BH), Tensor(B1)],
+                                  Tensor(GAMMA), Tensor(BETA))
+                                  * COUT6).sum()),
+    "fused_edge_mlp_w_mixed": (W1,
+                               lambda w: (fused_edge_mlp(
+                                   Tensor(EDGE_F), Tensor(NODE_F), SEND,
+                                   RECV, [_frozen(WE0), _frozen(WH), w],
+                                   [Tensor(B0), Tensor(BH), Tensor(B1)],
+                                   Tensor(GAMMA), Tensor(BETA))
+                                   * COUT6).sum()),
+    "fused_node_mlp_agg_mask": (AGG_F,
+                                lambda a: (fused_node_mlp(
+                                    Tensor(NODE_F), a,
+                                    [_frozen(WN0), _frozen(WH), _frozen(W1)],
+                                    [Tensor(B0), Tensor(BH), Tensor(B1)],
+                                    Tensor(GAMMA), Tensor(BETA))
+                                    * COUT).sum()),
+    "fused_node_mlp_w_mixed": (WH,
+                               lambda w: (fused_node_mlp(
+                                   Tensor(NODE_F), Tensor(AGG_F),
+                                   [_frozen(WN0), w, _frozen(W1)],
+                                   [Tensor(B0), Tensor(BH), Tensor(B1)],
+                                   Tensor(GAMMA), Tensor(BETA))
+                                   * COUT).sum()),
 }
 
 

@@ -42,6 +42,14 @@ class TestBuildGraph:
         assert g.edge_features.shape[1] == 3
         g.validate()
 
+    def test_graph_carries_the_step_segment_plans(self):
+        feat = GNSFeaturizer(_cfg())
+        g = feat.build_graph([Tensor(f) for f in _history()])
+        assert g.sender_plan is not None and g.receiver_plan is not None
+        assert g.segments() == (g.sender_plan, g.receiver_plan)
+        assert np.array_equal(g.sender_plan.index, g.senders)
+        assert np.array_equal(g.receiver_plan.index, g.receivers)
+
     def test_wrong_history_length_raises(self):
         with pytest.raises(ValueError):
             GNSFeaturizer(_cfg()).build_graph(_history(c=2))

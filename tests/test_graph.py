@@ -29,6 +29,14 @@ class TestGraphContainer:
         assert g2.node_features[0, 0] == 1.0
         assert g.node_features[0, 0] == 0.0
 
+    def test_segments_built_once_over_the_edge_list(self):
+        g = Graph(np.zeros((4, 2)), np.zeros((3, 1)), [2, 0, 2], [1, 3, 1])
+        send, recv = g.segments()
+        assert np.array_equal(send.index, g.senders)
+        assert np.array_equal(recv.index, g.receivers)
+        assert send.num_segments == recv.num_segments == 4
+        assert g.segments() == (send, recv)
+
     def test_mismatched_connectivity_raises(self):
         with pytest.raises(ValueError):
             Graph(np.zeros((2, 1)), np.zeros((2, 1)), [0, 1], [1])
