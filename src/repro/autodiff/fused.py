@@ -56,6 +56,11 @@ def _mean_vec(width: int, dtype) -> np.ndarray:
     return vec
 
 
+#: output widths below this run through einsum on the float32 C-kernel
+#: path (see :func:`_mlp_tail_accel`)
+_NARROW = 8
+
+
 def _buf(getbuf, tag: str, shape: tuple, dtype) -> np.ndarray:
     if getbuf is None:
         return np.empty(shape, dtype=dtype)
@@ -118,15 +123,28 @@ def layer_norm_inplace(h: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return h
 
 
+def _layer_buf(getbuf, tag: str, k: int, last: bool, shape: tuple, dtype,
+               out: np.ndarray | None) -> np.ndarray:
+    """Output buffer of layer ``k``: ``out`` for the last layer when
+    given, else the ``k % 2`` half of the ``tag`` ping-pong pair (layer
+    ``k`` reads layer ``k - 1``'s buffer, so two scratch buffers serve
+    any depth)."""
+    if last and out is not None:
+        return out
+    return _buf(getbuf, f"{tag}.{k % 2}", shape, dtype)
+
+
 def _mlp_tail_accel(h: np.ndarray, weights, biases, gamma, beta, eps: float,
                     getbuf, tag: str, kern, bias0: np.ndarray | None = None,
-                    activated: bool = False) -> np.ndarray:
+                    activated: bool = False,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """float32 tail using the fused C kernels (bias+ReLU, bias+LayerNorm).
 
     ``h`` is the layer-0 pre-activation. With ``bias0`` the layer-0 bias
     has not been added yet and is fused into the first ReLU; with
     ``activated`` the caller already applied bias and ReLU (the fused
-    edge first layer). Requires ``len(weights) > 1``.
+    edge first layer). ``out`` receives the last layer. Requires
+    ``len(weights) > 1``.
     """
     depth = len(weights)
     for k in range(1, depth):
@@ -137,9 +155,15 @@ def _mlp_tail_accel(h: np.ndarray, weights, biases, gamma, beta, eps: float,
                 kern.bias_relu(h, bias0)
             else:
                 kern.relu(h)
-        out = _buf(getbuf, f"{tag}.{k}", (h.shape[0], weights[k].shape[1]),
-                   h.dtype)
-        h = np.matmul(h, weights[k], out=out)
+        buf = _layer_buf(getbuf, tag, k, k == depth - 1,
+                         (h.shape[0], weights[k].shape[1]), h.dtype, out)
+        if weights[k].shape[1] < _NARROW:
+            # OpenBLAS sgemm takes row-position-dependent paths for so
+            # few columns; einsum's fixed per-row dot keeps identical
+            # batch members bitwise-identical (the decoder's 2-3 outputs)
+            h = np.einsum("ik,kj->ij", h, weights[k], out=buf)
+        else:
+            h = np.matmul(h, weights[k], out=buf)
     if gamma is not None:
         kern.bias_ln(h, biases[depth - 1], gamma, beta, eps)
     else:
@@ -149,7 +173,8 @@ def _mlp_tail_accel(h: np.ndarray, weights, biases, gamma, beta, eps: float,
 
 def _mlp_tail(h: np.ndarray, weights, biases, gamma, beta, eps: float,
               getbuf=None, tag: str = "mlp",
-              saved: dict | None = None) -> np.ndarray:
+              saved: dict | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Layers 1..K−1 plus optional LayerNorm, given layer-0 pre-activation.
 
     With ``saved`` (tape mode, seeded by :func:`_grad_snapshot`) every
@@ -158,23 +183,25 @@ def _mlp_tail(h: np.ndarray, weights, biases, gamma, beta, eps: float,
     or only its bool ReLU mask when that layer's weight is frozen, since
     only the weight gradient reads the activation values. Without it,
     ReLU and LayerNorm run in place and matmuls target caller buffers —
-    same operations, bitwise-identical values. On the no-grad float32
-    path, multi-layer tails dispatch to the fused C kernels when
-    available.
+    same operations, bitwise-identical values; layer ``k`` writes the
+    ``f"{tag}.{k % 2}"`` buffer, or ``out`` for the last layer. On the
+    no-grad float32 path, multi-layer tails dispatch to the fused C
+    kernels when available.
     """
-    if len(weights) > 1:
+    depth = len(weights)
+    if depth > 1:
         kern = _accel_for(h, saved)
         if kern is not None:
             return _mlp_tail_accel(h, weights, biases, gamma, beta, eps,
-                                   getbuf, tag, kern)
+                                   getbuf, tag, kern, out=out)
     acts = []
-    for k in range(1, len(weights)):
+    for k in range(1, depth):
         np.maximum(h, 0.0, out=h)
         if saved is not None:
             acts.append(h if saved["wgrad"][k] else h > 0)
-        out = _buf(getbuf, f"{tag}.{k}", (h.shape[0], weights[k].shape[1]),
-                   h.dtype)
-        h = np.matmul(h, weights[k], out=out)
+        h = np.matmul(h, weights[k], out=_layer_buf(
+            getbuf, tag, k, k == depth - 1,
+            (h.shape[0], weights[k].shape[1]), h.dtype, out))
         h += biases[k]
     if gamma is not None:
         if saved is not None:
@@ -194,26 +221,30 @@ def _mlp_tail(h: np.ndarray, weights, biases, gamma, beta, eps: float,
 
 def mlp_forward_numpy(x: np.ndarray, weights, biases, gamma=None, beta=None,
                       eps: float = 1e-5, getbuf=None, tag: str = "mlp",
-                      saved: dict | None = None) -> np.ndarray:
+                      saved: dict | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """ReLU MLP (+ optional LayerNorm) on plain arrays.
 
     ``weights``/``biases`` are per-layer arrays; ``getbuf(tag, shape,
-    dtype)`` optionally supplies reusable output buffers (inference
-    engine); ``saved`` (mutually exclusive with ``getbuf``) records
+    dtype)`` optionally supplies reusable scratch buffers (inference
+    engine), two per ``tag`` whatever the depth; ``out`` receives the
+    last layer; ``saved`` (mutually exclusive with ``getbuf``) records
     intermediates for a fused backward pass.
     """
-    h = np.matmul(x, weights[0],
-                  out=_buf(getbuf, f"{tag}.0", (x.shape[0], weights[0].shape[1]),
-                           x.dtype))
-    if len(weights) > 1:
+    depth = len(weights)
+    h = np.matmul(x, weights[0], out=_layer_buf(
+        getbuf, tag, 0, depth == 1, (x.shape[0], weights[0].shape[1]),
+        x.dtype, out))
+    if depth > 1:
         kern = _accel_for(h, saved)
         if kern is not None:
             # layer-0 bias folds into the first fused bias+ReLU pass
             return _mlp_tail_accel(h, weights, biases, gamma, beta, eps,
-                                   getbuf, tag, kern, bias0=biases[0])
+                                   getbuf, tag, kern, bias0=biases[0],
+                                   out=out)
     h += biases[0]
     return _mlp_tail(h, weights, biases, gamma, beta, eps,
-                     getbuf=getbuf, tag=tag, saved=saved)
+                     getbuf=getbuf, tag=tag, saved=saved, out=out)
 
 
 def edge_mlp_first_layer(edge_f: np.ndarray, node_f: np.ndarray,

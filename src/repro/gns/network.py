@@ -24,6 +24,7 @@ from ..autodiff.fused import (
 from ..autodiff.scatter import (
     SortedSegments, gather, scatter_add, scatter_softmax, segment_sum,
 )
+from ..accel.cpu import MLP_WIDTHS
 from ..graph import Graph
 from ..nn import MLP, Module
 
@@ -47,6 +48,59 @@ def _aggregation_matrix(receivers: np.ndarray, num_edges: int, num_nodes: int,
                                  shape=(num_nodes, num_edges))
     return sparse.csr_matrix((data, (receivers, indices)),
                              shape=(num_nodes, num_edges))
+
+
+def _fused(mlp: MLP, kern) -> bool:
+    """True when the fused C kernel runs ``mlp``: float32 kernels are
+    available and it is a LayerNorm MLP whose hidden and output widths
+    are one of :data:`repro.accel.cpu.MLP_WIDTHS`."""
+    sizes = mlp.sizes
+    return (kern is not None and mlp.norm is not None and len(sizes) > 2
+            and sizes[-1] in MLP_WIDTHS
+            and all(s == sizes[-1] for s in sizes[1:]))
+
+
+def _run_fused(kern, mlp: MLP, x: np.ndarray, **kw) -> np.ndarray:
+    """``kern.mlp`` on ``mlp``'s packed float32 parameters."""
+    return kern.mlp(mlp.packed(np.float32), mlp.sizes, mlp.norm.eps, x, **kw)
+
+
+def _encode(mlp: MLP, x: np.ndarray, kind: str, getbuf, kern) -> np.ndarray:
+    """Encoder MLP into the ``"<kind>.latent"`` buffer."""
+    out = _buf(getbuf, f"{kind}.latent", (x.shape[0], mlp.sizes[-1]),
+               x.dtype)
+    if _fused(mlp, kern):
+        return _run_fused(kern, mlp, x, out=out)
+    return mlp.forward_numpy(x, getbuf, kind, out=out)
+
+
+def _fused_block(block: "InteractionNetwork", nodes: np.ndarray,
+                 edges: np.ndarray, senders: np.ndarray,
+                 receivers: np.ndarray, getbuf, kern,
+                 edge_residual: bool) -> None:
+    """One interaction block as two fused kernel calls, updating
+    ``nodes`` (and, with ``edge_residual``, ``edges``) in place.
+
+    The edge MLP's node-sized sender/receiver projections stay BLAS
+    GEMMs; the kernel gathers them per edge, runs the MLP and
+    LayerNorm, sums each message into its receiver in edge order and
+    adds the residual — no edge-sized intermediate is written.
+    """
+    n, width = nodes.shape
+    ein = edges.shape[1]
+    w0 = block.edge_mlp.linears[0].arrays(np.float32)[0]
+    shape = (n, w0.shape[1])
+    proj_s = np.matmul(nodes, w0[ein:ein + width],
+                       out=_buf(getbuf, "node.proj_s", shape, np.float32))
+    proj_r = np.matmul(nodes, w0[ein + width:],
+                       out=_buf(getbuf, "node.proj_r", shape, np.float32))
+    agg = _buf(getbuf, "node.agg", shape, np.float32)
+    _run_fused(kern, block.edge_mlp, edges,
+               gather=(proj_s, proj_r, senders, receivers), agg=agg,
+               out=edges if edge_residual else None, residual=True)
+    _run_fused(kern, block.node_mlp, nodes, x2=agg, out=nodes,
+               residual=True)
+
 
 __all__ = ["GNSNetworkConfig", "InteractionNetwork", "EncodeProcessDecode"]
 
@@ -217,30 +271,42 @@ class EncodeProcessDecode(Module):
         engine builds it once per neighbor-list rebuild so every block of
         every step between rebuilds shares one set of aggregation
         structures (bitwise-identical to the per-call matrix). On float32
-        inputs the block loop additionally dispatches to the fused C
-        kernels of :mod:`repro.accel` when available.
+        inputs the C kernels of :mod:`repro.accel` run when available:
+        the encoders and every non-attention block whose MLPs have a
+        kernel width (:func:`_fused`) run as whole-MLP kernel calls,
+        everything else through the per-stage kernels.
         """
         timers = timers or {}
         getbuf = work.get if work is not None else None
         dtype = node_features.dtype
         n = node_features.shape[0]
         e = edge_features.shape[0]
+        kern = _accel_for(node_features, None)
+        if kern is not None and not (
+                edge_features.flags.c_contiguous
+                and senders.dtype == np.int64
+                and receivers.dtype == np.int64):
+            kern = None
 
+        # buffers: the node/edge latents, plus two ping-pong scratch
+        # buffers per row kind shared by every MLP (layer k writes
+        # "<kind>.<k % 2>")
         with timers.get("encode", _NULL_TIMER):
-            nodes = self.node_encoder.forward_numpy(node_features, getbuf,
-                                                    "enc.node")
-            edges = self.edge_encoder.forward_numpy(edge_features, getbuf,
-                                                    "enc.edge")
+            nodes = _encode(self.node_encoder, node_features, "node",
+                            getbuf, kern)
+            edges = _encode(self.edge_encoder, edge_features, "edge",
+                            getbuf, kern)
 
         with timers.get("process", _NULL_TIMER):
             agg_mat = None if plan is not None else \
                 _aggregation_matrix(receivers, e, n, dtype)
-            kern = _accel_for(nodes, None)
-            if kern is not None and (senders.dtype != np.int64
-                                     or receivers.dtype != np.int64):
-                kern = None
             last = len(self.blocks) - 1
             for bi, block in enumerate(self.blocks):
+                if (not block.attention and _fused(block.edge_mlp, kern)
+                        and _fused(block.node_mlp, kern)):
+                    _fused_block(block, nodes, edges, senders, receivers,
+                                 getbuf, kern, edge_residual=bi != last)
+                    continue
                 ews, ebs, egamma, ebeta, eeps = block.edge_mlp.arrays(dtype)
                 if block.attention:
                     edge_in = np.concatenate(
@@ -265,7 +331,7 @@ class EncodeProcessDecode(Module):
                                                              receivers, n)
                 else:
                     hidden = ews[0].shape[1]
-                    h0 = _buf(getbuf, "blk.edge.0", (e, hidden), dtype)
+                    h0 = _buf(getbuf, "edge.0", (e, hidden), dtype)
                     if kern is not None and len(ews) > 1:
                         # fp32: single-pass gather+add+ReLU C kernel for
                         # the split first layer, fused bias/LN tail
@@ -273,27 +339,28 @@ class EncodeProcessDecode(Module):
                         width = nodes.shape[1]
                         proj_s = np.matmul(
                             nodes, ews[0][ein:ein + width],
-                            out=_buf(getbuf, "blk.proj_s", (n, hidden), dtype))
+                            out=_buf(getbuf, "node.proj_s", (n, hidden),
+                                     dtype))
                         proj_s += ebs[0]
                         proj_r = np.matmul(
                             nodes, ews[0][ein + width:],
-                            out=_buf(getbuf, "blk.proj_r", (n, hidden), dtype))
+                            out=_buf(getbuf, "node.proj_r", (n, hidden),
+                                     dtype))
                         np.matmul(edges, ews[0][:ein], out=h0)
                         kern.gather2_add_relu(h0, proj_s, proj_r,
                                               senders, receivers)
                         messages = _mlp_tail_accel(h0, ews, ebs, egamma,
                                                    ebeta, eeps, getbuf,
-                                                   "blk.edge", kern,
+                                                   "edge", kern,
                                                    activated=True)
                     else:
                         h0 = edge_mlp_first_layer(edges, nodes, senders,
                                                   receivers, ews[0], ebs[0],
                                                   out=h0)
                         messages = _mlp_tail(h0, ews, ebs, egamma, ebeta,
-                                             eeps, getbuf=getbuf,
-                                             tag="blk.edge")
+                                             eeps, getbuf=getbuf, tag="edge")
                     if plan is not None:
-                        agg_out = _buf(getbuf, "blk.agg",
+                        agg_out = _buf(getbuf, "node.agg",
                                        (n, messages.shape[1]), dtype) \
                             if dtype == np.float32 else None
                         aggregated = plan.segment_sum(messages, out=agg_out)
@@ -303,22 +370,22 @@ class EncodeProcessDecode(Module):
                 if kern is not None and len(nws) > 1 and not block.attention:
                     width = nodes.shape[1]
                     h0 = np.matmul(nodes, nws[0][:width],
-                                   out=_buf(getbuf, "blk.node.0",
+                                   out=_buf(getbuf, "node.0",
                                             (n, nws[0].shape[1]), dtype))
                     h0 += np.matmul(aggregated, nws[0][width:],
-                                    out=_buf(getbuf, "blk.node.agg",
+                                    out=_buf(getbuf, "node.1",
                                              (n, nws[0].shape[1]), dtype))
                     node_update = _mlp_tail_accel(h0, nws, nbs, ngamma,
                                                   nbeta, neps, getbuf,
-                                                  "blk.node", kern,
+                                                  "node", kern,
                                                   bias0=nbs[0])
                 else:
                     h0 = node_mlp_first_layer(
                         nodes, aggregated, nws[0], nbs[0],
-                        out=_buf(getbuf, "blk.node.0", (n, nws[0].shape[1]),
+                        out=_buf(getbuf, "node.0", (n, nws[0].shape[1]),
                                  dtype))
                     node_update = _mlp_tail(h0, nws, nbs, ngamma, nbeta, neps,
-                                            getbuf=getbuf, tag="blk.node")
+                                            getbuf=getbuf, tag="node")
                 nodes += node_update
                 if bi != last:
                     # the final block's edge residual is dead — nothing
@@ -326,7 +393,7 @@ class EncodeProcessDecode(Module):
                     edges += messages
 
         with timers.get("decode", _NULL_TIMER):
-            out = self.decoder.forward_numpy(nodes, getbuf, "dec")
+            out = self.decoder.forward_numpy(nodes, getbuf, "node")
         return out
 
     def forward_with_latents(self, graph: Graph) -> tuple[Tensor, list[Tensor]]:

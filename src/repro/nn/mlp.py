@@ -153,16 +153,34 @@ class MLP(Module):
             eps = self.norm.eps
         return ws, bs, gamma, beta, eps
 
-    def forward_numpy(self, x: np.ndarray,
-                      getbuf=None, tag: str = "mlp") -> np.ndarray:
+    def packed(self, dtype) -> np.ndarray:
+        """All parameters as one C-ordered ``dtype`` vector ``W0, b0, W1,
+        b1, ..., gamma, beta`` — the layout of the fused MLP kernel
+        (:meth:`repro.accel.CpuKernels.mlp`). Cached and invalidated by
+        identity like :meth:`Linear.arrays`."""
+        src = [p.data for lin in self.linears for p in (lin.weight, lin.bias)]
+        if self.norm is not None:
+            src += [self.norm.gamma.data, self.norm.beta.data]
+        cache = getattr(self, "_packed_cache", None)
+        if (cache is None or cache[1].dtype != dtype
+                or len(cache[0]) != len(src)
+                or any(a is not b for a, b in zip(cache[0], src))):
+            cache = (src, np.concatenate([a.ravel() for a in src]
+                                         ).astype(dtype))
+            object.__setattr__(self, "_packed_cache", cache)
+        return cache[1]
+
+    def forward_numpy(self, x: np.ndarray, getbuf=None, tag: str = "mlp",
+                      out: np.ndarray | None = None) -> np.ndarray:
         """Tape-free inference path (no autodiff overhead).
 
         Runs in ``x.dtype`` — pass float32 inputs for ~2× faster CPU
         inference (the precision the paper's GPU models use anyway).
         Numerically identical to :meth:`forward` in float64. ``getbuf``
-        optionally supplies reusable output buffers (see
-        :class:`repro.utils.buffers.Workspace`).
+        optionally supplies reusable scratch buffers (see
+        :class:`repro.utils.buffers.Workspace`); ``out`` receives the
+        last layer.
         """
         ws, bs, gamma, beta, eps = self.arrays(x.dtype.type)
         return mlp_forward_numpy(x, ws, bs, gamma, beta, eps,
-                                 getbuf=getbuf, tag=tag)
+                                 getbuf=getbuf, tag=tag, out=out)

@@ -194,6 +194,36 @@ class TestEngineInstrumentation:
         assert fast.dtype == np.float64  # positions stay f64
         np.testing.assert_allclose(fast, naive, rtol=1e-4, atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["f64", "fp32"])
+    def test_workspace_keeps_two_edge_scratch_buffers(self, dtype):
+        """Every MLP writes layer k into its row kind's ``k % 2``
+        buffer, so a deep network still holds only the edge latent and
+        two scratch edge buffers (none at all when the fused float32
+        kernel runs the MLPs)."""
+        from repro.accel import available
+
+        bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
+        cfg = FeatureConfig(connectivity_radius=0.15, history=3,
+                            bounds=bounds)
+        net = GNSNetworkConfig(latent_size=16, mlp_hidden_size=16,
+                               mlp_hidden_layers=3, message_passing_steps=2)
+        stats = Stats(np.zeros(2), np.full(2, 0.01), np.zeros(2),
+                      np.full(2, 2e-4))
+        sim = LearnedSimulator(cfg, net, stats,
+                               rng=np.random.default_rng(1))
+        seed = make_seed(sim, n=60)
+        engine = sim.engine(dtype=dtype)
+        engine.rollout(seed, 3)
+        edges = engine.cache.query(seed[-1])[0].shape[0]
+        assert edges > 2 * 60
+        edge_sized = {tag for (tag, _, _), buf in engine.work._bufs.items()
+                      if buf.shape[0] >= edges}
+        want = {"feat.edge", "edge.latent"}
+        if dtype is np.float64 or not available():
+            want |= {"edge.0", "edge.1"}
+        assert edge_sized == want
+
     def test_wrong_seed_length_raises(self):
         sim = make_sim()
         with pytest.raises(ValueError):

@@ -1,7 +1,5 @@
 """Tracer: span nesting, aggregation, scoping, and the no-op fast path."""
 
-import time
-
 import pytest
 
 from repro.obs import (
@@ -106,21 +104,12 @@ class TestNoOpFastPath:
         disable_tracing()
         assert span("dead") is NULL_SPAN
 
-    def test_disabled_overhead_is_negligible(self):
-        # the whole point of the null path: ~dict-lookup cost per call
-        n = 20_000
-
-        t0 = time.perf_counter()
-        for _ in range(n):
-            pass
-        baseline = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for _ in range(n):
-            with span("hot"):
-                pass
-        disabled = time.perf_counter() - t0
-
-        # generous bound — CI machines are noisy; the guard is against
-        # accidentally re-introducing real work on the disabled path
-        assert disabled < max(baseline * 50, 0.05)
+    def test_disabled_span_does_no_work(self):
+        # the null path is one flag read: every disabled span() is the
+        # shared stateless NULL_SPAN and nothing reaches the tracer
+        assert not tracing_enabled()
+        for _ in range(100):
+            with span("hot") as s:
+                assert s is NULL_SPAN
+        assert type(NULL_SPAN).__slots__ == ()
+        assert get_tracer().stats() == {}
